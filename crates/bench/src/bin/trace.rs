@@ -21,7 +21,7 @@ use sg_perm::factorial::factorial;
 fn usage() -> ! {
     eprintln!(
         "usage:\n  \
-         trace record <path> [--n N] [--seed S] [--reference]\n  \
+         trace record <path> [--n N (2..=9)] [--seed S] [--reference]\n  \
          trace replay <path> [--top K]\n  \
          trace stats <path>\n  \
          trace diff <a> <b> [--context K]"
@@ -34,12 +34,17 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The value after `name`, or `default` when the flag is absent. A
+/// flag with a missing or non-numeric value is a usage error, never a
+/// silent fall-back to the default.
 fn flag(args: &[String], name: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match args.iter().position(|a| a == name) {
+        None => default,
+        Some(i) => args
+            .get(i + 1)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| usage()),
+    }
 }
 
 fn load(path: &str) -> Trace {
@@ -66,7 +71,10 @@ fn summary(tag: &str, s: &TrafficStats) {
 
 fn cmd_record(args: &[String]) {
     let path = args.first().unwrap_or_else(|| usage());
-    let n = flag(args, "--n", 5) as usize;
+    let n = usize::try_from(flag(args, "--n", 5)).unwrap_or(usize::MAX);
+    if !Network::ORDERS.contains(&n) {
+        usage();
+    }
     let seed = flag(args, "--seed", 7);
     let engine = if args.iter().any(|a| a == "--reference") {
         Engine::Reference

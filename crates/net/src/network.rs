@@ -213,16 +213,19 @@ pub struct Network {
 }
 
 impl Network {
+    /// The star orders the simulator supports: it materializes the
+    /// whole node table, `9! = 362 880` PEs at the top.
+    pub const ORDERS: std::ops::RangeInclusive<usize> = 2..=9;
+
     /// Builds the `S_n` interconnect with default configuration and no
     /// faults.
     ///
     /// # Panics
-    /// Panics for `n` outside `2..=9` (the node table is materialized,
-    /// `9! = 362 880` PEs).
+    /// Panics for `n` outside [`Network::ORDERS`].
     #[must_use]
     pub fn new(n: usize) -> Self {
         assert!(
-            (2..=9).contains(&n),
+            Self::ORDERS.contains(&n),
             "simulator materializes n! PEs; supported for 2 <= n <= 9"
         );
         let node_count = factorial(n) as usize;

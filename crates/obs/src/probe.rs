@@ -208,19 +208,32 @@ impl Event {
     /// Render the event as one newline-free JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append the event's JSON object (no trailing newline) to `out`.
+    /// The one serializer behind [`Event::to_json`],
+    /// [`EventLog::to_jsonl`] and `Trace::to_jsonl`: it writes straight
+    /// into the caller's buffer, so a whole log costs no allocation
+    /// beyond the buffer's own growth.
+    pub fn write_json(&self, out: &mut String) {
         match *self {
             Event::RoundBegin { round } => {
-                format!("{{\"ev\":\"round_begin\",\"round\":{round}}}")
+                put_u64(out, "{\"ev\":\"round_begin\",\"round\":", round);
             }
             Event::RoundEnd {
                 round,
                 queued,
                 in_flight,
                 stalled,
-            } => format!(
-                "{{\"ev\":\"round_end\",\"round\":{round},\"queued\":{queued},\
-                 \"in_flight\":{in_flight},\"stalled\":{stalled}}}"
-            ),
+            } => {
+                put_u64(out, "{\"ev\":\"round_end\",\"round\":", round);
+                put_u64(out, ",\"queued\":", queued);
+                put_u64(out, ",\"in_flight\":", in_flight);
+                put_u64(out, ",\"stalled\":", stalled);
+            }
             Event::Forwarded {
                 round,
                 pid,
@@ -228,10 +241,14 @@ impl Event {
                 to,
                 gen,
                 escape,
-            } => format!(
-                "{{\"ev\":\"forwarded\",\"round\":{round},\"pid\":{pid},\"from\":{from},\
-                 \"to\":{to},\"gen\":{gen},\"escape\":{escape}}}"
-            ),
+            } => {
+                put_u64(out, "{\"ev\":\"forwarded\",\"round\":", round);
+                put_u64(out, ",\"pid\":", pid);
+                put_u64(out, ",\"from\":", from);
+                put_u64(out, ",\"to\":", to);
+                put_u64(out, ",\"gen\":", gen);
+                put_bool(out, ",\"escape\":", escape);
+            }
             Event::Queued {
                 round,
                 pid,
@@ -239,78 +256,166 @@ impl Event {
                 gen,
                 depth,
                 escape,
-            } => format!(
-                "{{\"ev\":\"queued\",\"round\":{round},\"pid\":{pid},\"pe\":{pe},\
-                 \"gen\":{gen},\"depth\":{depth},\"escape\":{escape}}}"
-            ),
+            } => {
+                put_u64(out, "{\"ev\":\"queued\",\"round\":", round);
+                put_u64(out, ",\"pid\":", pid);
+                put_u64(out, ",\"pe\":", pe);
+                put_u64(out, ",\"gen\":", gen);
+                put_u64(out, ",\"depth\":", depth);
+                put_bool(out, ",\"escape\":", escape);
+            }
             Event::Stalled {
                 round,
                 pid,
                 pe,
                 kind,
-            } => format!(
-                "{{\"ev\":\"stalled\",\"round\":{round},\"pid\":{pid},\"pe\":{pe},\
-                 \"kind\":\"{}\"}}",
-                match kind {
-                    StallKind::Injection => "injection",
-                    StallKind::CreditHead => "credit_head",
-                }
-            ),
+            } => {
+                put_u64(out, "{\"ev\":\"stalled\",\"round\":", round);
+                put_u64(out, ",\"pid\":", pid);
+                put_u64(out, ",\"pe\":", pe);
+                put_name(out, ",\"kind\":", kind.name());
+            }
             Event::Diverted {
                 round,
                 pid,
                 pe,
                 class,
-            } => format!(
-                "{{\"ev\":\"diverted\",\"round\":{round},\"pid\":{pid},\"pe\":{pe},\
-                 \"class\":{class}}}"
-            ),
+            } => {
+                put_u64(out, "{\"ev\":\"diverted\",\"round\":", round);
+                put_u64(out, ",\"pid\":", pid);
+                put_u64(out, ",\"pe\":", pe);
+                put_u64(out, ",\"class\":", class);
+            }
             Event::Dropped {
                 round,
                 pid,
                 pe,
                 reason,
-            } => format!(
-                "{{\"ev\":\"dropped\",\"round\":{round},\"pid\":{pid},\"pe\":{pe},\
-                 \"reason\":\"{}\"}}",
-                match reason {
-                    DropReason::Fault => "fault",
-                    DropReason::Unreachable => "unreachable",
-                    DropReason::Overflow => "overflow",
-                    DropReason::Stranded => "stranded",
-                }
-            ),
+            } => {
+                put_u64(out, "{\"ev\":\"dropped\",\"round\":", round);
+                put_u64(out, ",\"pid\":", pid);
+                put_u64(out, ",\"pe\":", pe);
+                put_name(out, ",\"reason\":", reason.name());
+            }
             Event::Delivered {
                 round,
                 pid,
                 pe,
                 hops,
-            } => format!(
-                "{{\"ev\":\"delivered\",\"round\":{round},\"pid\":{pid},\"pe\":{pe},\
-                 \"hops\":{hops}}}"
-            ),
+            } => {
+                put_u64(out, "{\"ev\":\"delivered\",\"round\":", round);
+                put_u64(out, ",\"pid\":", pid);
+                put_u64(out, ",\"pe\":", pe);
+                put_u64(out, ",\"hops\":", hops);
+            }
             Event::JobArrived { round, job } => {
-                format!("{{\"ev\":\"job_arrived\",\"time\":{round},\"job\":{job}}}")
+                put_u64(out, "{\"ev\":\"job_arrived\",\"time\":", round);
+                put_u64(out, ",\"job\":", job);
             }
             Event::JobPlaced {
                 round,
                 job,
                 order,
                 pes,
-            } => format!(
-                "{{\"ev\":\"job_placed\",\"time\":{round},\"job\":{job},\"order\":{order},\
-                 \"pes\":{pes}}}"
-            ),
-            Event::JobReleased { round, job } => {
-                format!("{{\"ev\":\"job_released\",\"time\":{round},\"job\":{job}}}")
+            } => {
+                put_u64(out, "{\"ev\":\"job_placed\",\"time\":", round);
+                put_u64(out, ",\"job\":", job);
+                put_u64(out, ",\"order\":", order);
+                put_u64(out, ",\"pes\":", pes);
             }
-            Event::JobReserved { round, job, start } => format!(
-                "{{\"ev\":\"job_reserved\",\"time\":{round},\"job\":{job},\"start\":{start}}}"
-            ),
+            Event::JobReleased { round, job } => {
+                put_u64(out, "{\"ev\":\"job_released\",\"time\":", round);
+                put_u64(out, ",\"job\":", job);
+            }
+            Event::JobReserved { round, job, start } => {
+                put_u64(out, "{\"ev\":\"job_reserved\",\"time\":", round);
+                put_u64(out, ",\"job\":", job);
+                put_u64(out, ",\"start\":", start);
+            }
             Event::JobBackfilled { round, job } => {
-                format!("{{\"ev\":\"job_backfilled\",\"time\":{round},\"job\":{job}}}")
+                put_u64(out, "{\"ev\":\"job_backfilled\",\"time\":", round);
+                put_u64(out, ",\"job\":", job);
             }
         }
+        out.push('}');
+    }
+}
+
+impl StallKind {
+    /// The name the trace schema writes for this kind.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            StallKind::Injection => "injection",
+            StallKind::CreditHead => "credit_head",
+        }
+    }
+
+    /// Inverse of [`StallKind::name`].
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "injection" => Some(StallKind::Injection),
+            "credit_head" => Some(StallKind::CreditHead),
+            _ => None,
+        }
+    }
+}
+
+impl DropReason {
+    /// The name the trace schema writes for this reason.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            DropReason::Fault => "fault",
+            DropReason::Unreachable => "unreachable",
+            DropReason::Overflow => "overflow",
+            DropReason::Stranded => "stranded",
+        }
+    }
+
+    /// Inverse of [`DropReason::name`].
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "fault" => Some(DropReason::Fault),
+            "unreachable" => Some(DropReason::Unreachable),
+            "overflow" => Some(DropReason::Overflow),
+            "stranded" => Some(DropReason::Stranded),
+            _ => None,
+        }
+    }
+}
+
+/// Append `prefix` and then a JSON bool.
+fn put_bool(out: &mut String, prefix: &str, v: bool) {
+    out.push_str(prefix);
+    out.push_str(if v { "true" } else { "false" });
+}
+
+/// Append `prefix` and then `s` as a JSON string. `s` is one of the
+/// schema's fixed names, which never need escaping.
+fn put_name(out: &mut String, prefix: &str, s: &str) {
+    out.push_str(prefix);
+    out.push('"');
+    out.push_str(s);
+    out.push('"');
+}
+
+/// Append `prefix` (a key with its punctuation) and then `v` in
+/// decimal — the digits `write!(out, "{v}")` would produce, without
+/// going through the formatting machinery.
+pub(crate) fn put_u64(out: &mut String, prefix: &str, v: impl Into<u64>) {
+    out.push_str(prefix);
+    let mut v: u64 = v.into();
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &buf[i..] {
+        out.push(char::from(d));
     }
 }
 
@@ -416,7 +521,7 @@ impl EventLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for ev in &self.events {
-            out.push_str(&ev.to_json());
+            ev.write_json(&mut out);
             out.push('\n');
         }
         out

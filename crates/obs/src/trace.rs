@@ -23,10 +23,30 @@
 //! silently shorter run. Everything here is plain integers plus two
 //! opaque strings (`engine`, `fingerprint`), so the module — like the
 //! rest of `sg-obs` — depends on nothing above it.
+//!
+//! # One pass, no allocation per line
+//!
+//! Traces of a few million events are routine, so both directions of
+//! the codec touch each record once and allocate nothing per line:
+//!
+//! * **Writing** goes through [`Event::write_json`] and
+//!   [`TracePacket::write_json`], which append straight into the
+//!   caller's buffer with hand-rolled decimal formatting;
+//!   [`Trace::to_jsonl`] grows one `String` and nothing else.
+//! * **Reading** tokenizes each line exactly once into borrowed
+//!   `(key, raw value)` slices, kept in one working buffer reused for
+//!   every line. An event's pairs are sorted into per-key slots in one
+//!   more pass over the slices, the variant is picked by matching the
+//!   borrowed event name, and integers are decoded straight from the
+//!   bytes. The only allocations are that working buffer, the output
+//!   vectors (sized from the header) and the header's two strings.
+//!   [`Event::from_json`] is a thin wrapper over the same tokenizer
+//!   and field decoder, so there is exactly one parser.
 
-use crate::probe::{DropReason, Event, StallKind};
+use crate::probe::{put_u64, DropReason, Event, StallKind};
 use crate::profile::SchedPhaseProfile;
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// The schema version this build writes and understands.
 pub const SCHEMA_VERSION: u32 = 1;
@@ -185,16 +205,23 @@ impl TracePacket {
     /// Render the record as one newline-free JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        match self.job {
-            Some(j) => format!(
-                "{{\"packet\":{},\"src\":{},\"dst\":{},\"round\":{},\"job\":{j}}}",
-                self.pid, self.src, self.dst, self.round
-            ),
-            None => format!(
-                "{{\"packet\":{},\"src\":{},\"dst\":{},\"round\":{}}}",
-                self.pid, self.src, self.dst, self.round
-            ),
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append the record's JSON object (no trailing newline) to `out`;
+    /// the serializer behind [`TracePacket::to_json`] and
+    /// [`Trace::to_jsonl`].
+    pub fn write_json(&self, out: &mut String) {
+        put_u64(out, "{\"packet\":", self.pid);
+        put_u64(out, ",\"src\":", self.src);
+        put_u64(out, ",\"dst\":", self.dst);
+        put_u64(out, ",\"round\":", self.round);
+        if let Some(job) = self.job {
+            put_u64(out, ",\"job\":", job);
         }
+        out.push('}');
     }
 }
 
@@ -219,20 +246,21 @@ impl Trace {
         let mut out = self.header.to_json();
         out.push('\n');
         for p in &self.packets {
-            out.push_str(&p.to_json());
+            p.write_json(&mut out);
             out.push('\n');
         }
         for ev in &self.events {
-            out.push_str(&ev.to_json());
+            ev.write_json(&mut out);
             out.push('\n');
         }
         out
     }
 
     /// Parse a JSONL trace. Streaming and strict: one pass over the
-    /// lines, and any structural problem — missing header, wrong
-    /// schema version, malformed line, out-of-order section, counts
-    /// short of the header's promise — is an error.
+    /// lines, each tokenized once into a reused working buffer, and any
+    /// structural problem — missing header, wrong schema version,
+    /// malformed line, out-of-order section, counts short of the
+    /// header's promise — is an error.
     ///
     /// # Errors
     /// See [`TraceError`].
@@ -246,22 +274,20 @@ impl Trace {
         let mut packets = Vec::with_capacity(usize::try_from(header.packets).unwrap_or(0));
         let mut events = Vec::with_capacity(usize::try_from(header.events).unwrap_or(0));
         let mut in_events = false;
+        // One working buffer of borrowed slices, refilled per line.
+        let mut fields = Vec::new();
         for (idx, line) in lines {
             let lineno = idx + 1;
-            let fields =
-                parse_flat(line).map_err(|msg| TraceError::Malformed { line: lineno, msg })?;
             let err = |msg: String| TraceError::Malformed { line: lineno, msg };
-            if get(&fields, "ev").is_some() {
+            tokenize(line, &mut fields).map_err(err)?;
+            if field(&fields, "ev").raw.is_some() {
                 in_events = true;
-                events.push(
-                    Event::from_json(line)
-                        .map_err(|msg| TraceError::Malformed { line: lineno, msg })?,
-                );
-            } else if get(&fields, "packet").is_some() {
+                events.push(decode_event(&fields).map_err(err)?);
+            } else if field(&fields, "packet").raw.is_some() {
                 if in_events {
                     return Err(err("packet record after the first event record".into()));
                 }
-                let pid = req_u32(&fields, "packet").map_err(&err)?;
+                let pid = field(&fields, "packet").u32().map_err(err)?;
                 if u64::from(pid) != packets.len() as u64 {
                     return Err(err(format!(
                         "packet records out of order: expected pid {}, found {pid}",
@@ -270,12 +296,12 @@ impl Trace {
                 }
                 packets.push(TracePacket {
                     pid,
-                    src: req_u64(&fields, "src").map_err(&err)?,
-                    dst: req_u64(&fields, "dst").map_err(&err)?,
-                    round: req_u32(&fields, "round").map_err(&err)?,
-                    job: opt_u32(&fields, "job").map_err(&err)?,
+                    src: field(&fields, "src").u64().map_err(err)?,
+                    dst: field(&fields, "dst").u64().map_err(err)?,
+                    round: field(&fields, "round").u32().map_err(err)?,
+                    job: field(&fields, "job").opt_u32().map_err(err)?,
                 });
-            } else if get(&fields, "trace").is_some() {
+            } else if field(&fields, "trace").raw.is_some() {
                 return Err(err("second header record".into()));
             } else {
                 return Err(err("unrecognized record (no \"ev\"/\"packet\" key)".into()));
@@ -324,166 +350,175 @@ impl Trace {
 impl Event {
     /// Parse one [`Event::to_json`] line back into the event. Total
     /// inverse: every variant round-trips losslessly (property-tested
-    /// in this module and across whole recorded runs by the
-    /// round-trip suite).
+    /// in this crate and across whole recorded runs by the round-trip
+    /// suite). The same tokenizer and field decoder [`Trace::parse`]
+    /// runs on every event line.
     ///
     /// # Errors
     /// A human-readable reason when the line is not a valid event
     /// record.
     pub fn from_json(line: &str) -> Result<Event, String> {
-        let fields = parse_flat(line)?;
-        let name = req_str(&fields, "ev")?;
-        let round = |key: &str| req_u32(&fields, key);
-        Ok(match name.as_str() {
-            "round_begin" => Event::RoundBegin {
-                round: round("round")?,
-            },
-            "round_end" => Event::RoundEnd {
-                round: round("round")?,
-                queued: req_u64(&fields, "queued")?,
-                in_flight: req_u64(&fields, "in_flight")?,
-                stalled: req_u64(&fields, "stalled")?,
-            },
-            "forwarded" => Event::Forwarded {
-                round: round("round")?,
-                pid: req_u32(&fields, "pid")?,
-                from: req_u32(&fields, "from")?,
-                to: req_u32(&fields, "to")?,
-                gen: req_u8(&fields, "gen")?,
-                escape: req_bool(&fields, "escape")?,
-            },
-            "queued" => Event::Queued {
-                round: round("round")?,
-                pid: req_u32(&fields, "pid")?,
-                pe: req_u32(&fields, "pe")?,
-                gen: req_u8(&fields, "gen")?,
-                depth: req_u32(&fields, "depth")?,
-                escape: req_bool(&fields, "escape")?,
-            },
-            "stalled" => Event::Stalled {
-                round: round("round")?,
-                pid: req_u32(&fields, "pid")?,
-                pe: req_u32(&fields, "pe")?,
-                kind: match req_str(&fields, "kind")?.as_str() {
-                    "injection" => StallKind::Injection,
-                    "credit_head" => StallKind::CreditHead,
-                    other => return Err(format!("unknown stall kind {other:?}")),
-                },
-            },
-            "diverted" => Event::Diverted {
-                round: round("round")?,
-                pid: req_u32(&fields, "pid")?,
-                pe: req_u32(&fields, "pe")?,
-                class: req_u32(&fields, "class")?,
-            },
-            "dropped" => Event::Dropped {
-                round: round("round")?,
-                pid: req_u32(&fields, "pid")?,
-                pe: req_u32(&fields, "pe")?,
-                reason: match req_str(&fields, "reason")?.as_str() {
-                    "fault" => DropReason::Fault,
-                    "unreachable" => DropReason::Unreachable,
-                    "overflow" => DropReason::Overflow,
-                    "stranded" => DropReason::Stranded,
-                    other => return Err(format!("unknown drop reason {other:?}")),
-                },
-            },
-            "delivered" => Event::Delivered {
-                round: round("round")?,
-                pid: req_u32(&fields, "pid")?,
-                pe: req_u32(&fields, "pe")?,
-                hops: req_u32(&fields, "hops")?,
-            },
-            "job_arrived" => Event::JobArrived {
-                round: round("time")?,
-                job: req_u32(&fields, "job")?,
-            },
-            "job_placed" => Event::JobPlaced {
-                round: round("time")?,
-                job: req_u32(&fields, "job")?,
-                order: req_u8(&fields, "order")?,
-                pes: req_u64(&fields, "pes")?,
-            },
-            "job_released" => Event::JobReleased {
-                round: round("time")?,
-                job: req_u32(&fields, "job")?,
-            },
-            "job_reserved" => Event::JobReserved {
-                round: round("time")?,
-                job: req_u32(&fields, "job")?,
-                start: req_u32(&fields, "start")?,
-            },
-            "job_backfilled" => Event::JobBackfilled {
-                round: round("time")?,
-                job: req_u32(&fields, "job")?,
-            },
-            other => return Err(format!("unknown event kind {other:?}")),
-        })
+        let mut fields = Vec::new();
+        tokenize(line, &mut fields)?;
+        decode_event(&fields)
     }
 }
 
+/// Decode an event record from its tokenized fields.
+fn decode_event(pairs: &[(&str, &str)]) -> Result<Event, String> {
+    let f = EventFields::gather(pairs);
+    let name = f.get(Key::Ev).str()?;
+    Ok(match &*name {
+        "round_begin" => Event::RoundBegin {
+            round: f.get(Key::Round).u32()?,
+        },
+        "round_end" => Event::RoundEnd {
+            round: f.get(Key::Round).u32()?,
+            queued: f.get(Key::Queued).u64()?,
+            in_flight: f.get(Key::InFlight).u64()?,
+            stalled: f.get(Key::Stalled).u64()?,
+        },
+        "forwarded" => Event::Forwarded {
+            round: f.get(Key::Round).u32()?,
+            pid: f.get(Key::Pid).u32()?,
+            from: f.get(Key::From).u32()?,
+            to: f.get(Key::To).u32()?,
+            gen: f.get(Key::Gen).u8()?,
+            escape: f.get(Key::Escape).bool()?,
+        },
+        "queued" => Event::Queued {
+            round: f.get(Key::Round).u32()?,
+            pid: f.get(Key::Pid).u32()?,
+            pe: f.get(Key::Pe).u32()?,
+            gen: f.get(Key::Gen).u8()?,
+            depth: f.get(Key::Depth).u32()?,
+            escape: f.get(Key::Escape).bool()?,
+        },
+        "stalled" => Event::Stalled {
+            round: f.get(Key::Round).u32()?,
+            pid: f.get(Key::Pid).u32()?,
+            pe: f.get(Key::Pe).u32()?,
+            kind: {
+                let kind = f.get(Key::Kind).str()?;
+                StallKind::from_name(&kind).ok_or_else(|| format!("unknown stall kind {kind:?}"))?
+            },
+        },
+        "diverted" => Event::Diverted {
+            round: f.get(Key::Round).u32()?,
+            pid: f.get(Key::Pid).u32()?,
+            pe: f.get(Key::Pe).u32()?,
+            class: f.get(Key::Class).u32()?,
+        },
+        "dropped" => Event::Dropped {
+            round: f.get(Key::Round).u32()?,
+            pid: f.get(Key::Pid).u32()?,
+            pe: f.get(Key::Pe).u32()?,
+            reason: {
+                let reason = f.get(Key::Reason).str()?;
+                DropReason::from_name(&reason)
+                    .ok_or_else(|| format!("unknown drop reason {reason:?}"))?
+            },
+        },
+        "delivered" => Event::Delivered {
+            round: f.get(Key::Round).u32()?,
+            pid: f.get(Key::Pid).u32()?,
+            pe: f.get(Key::Pe).u32()?,
+            hops: f.get(Key::Hops).u32()?,
+        },
+        "job_arrived" => Event::JobArrived {
+            round: f.get(Key::Time).u32()?,
+            job: f.get(Key::Job).u32()?,
+        },
+        "job_placed" => Event::JobPlaced {
+            round: f.get(Key::Time).u32()?,
+            job: f.get(Key::Job).u32()?,
+            order: f.get(Key::Order).u8()?,
+            pes: f.get(Key::Pes).u64()?,
+        },
+        "job_released" => Event::JobReleased {
+            round: f.get(Key::Time).u32()?,
+            job: f.get(Key::Job).u32()?,
+        },
+        "job_reserved" => Event::JobReserved {
+            round: f.get(Key::Time).u32()?,
+            job: f.get(Key::Job).u32()?,
+            start: f.get(Key::Start).u32()?,
+        },
+        "job_backfilled" => Event::JobBackfilled {
+            round: f.get(Key::Time).u32()?,
+            job: f.get(Key::Job).u32()?,
+        },
+        other => return Err(format!("unknown event kind {other:?}")),
+    })
+}
+
 fn parse_header(line: &str) -> Result<TraceHeader, TraceError> {
-    let fields = parse_flat(line).map_err(|_| TraceError::NotATrace)?;
-    match get(&fields, "trace").map(unquote) {
+    let mut fields = Vec::new();
+    tokenize(line, &mut fields).map_err(|_| TraceError::NotATrace)?;
+    match field(&fields, "trace").raw.map(unquote) {
         Some(Ok(tag)) if tag == "sg-trace" => {}
         _ => return Err(TraceError::NotATrace),
     }
     let err = |msg: String| TraceError::Malformed { line: 1, msg };
-    let schema = req_u32(&fields, "schema").map_err(err)?;
+    let schema = field(&fields, "schema").u32().map_err(err)?;
     if schema != SCHEMA_VERSION {
         return Err(TraceError::UnsupportedSchema { found: schema });
     }
-    let err = |msg: String| TraceError::Malformed { line: 1, msg };
-    let sched_profile = match get(&fields, "sched_profile") {
+    let sched_profile = match field(&fields, "sched_profile").raw {
         None => None,
         Some(raw) => {
-            let inner = parse_flat(raw).map_err(err)?;
-            let err = |msg: String| TraceError::Malformed { line: 1, msg };
+            let mut inner = Vec::new();
+            tokenize(raw, &mut inner).map_err(err)?;
             Some(SchedPhaseProfile {
-                rounds: req_u64(&inner, "rounds").map_err(err)?,
-                placement_ticks: req_u64(&inner, "placement").map_err(err)?,
-                drain_ticks: req_u64(&inner, "drain").map_err(err)?,
-                backfill_ticks: req_u64(&inner, "backfill").map_err(err)?,
-                release_ticks: req_u64(&inner, "release").map_err(err)?,
+                rounds: field(&inner, "rounds").u64().map_err(err)?,
+                placement_ticks: field(&inner, "placement").u64().map_err(err)?,
+                drain_ticks: field(&inner, "drain").u64().map_err(err)?,
+                backfill_ticks: field(&inner, "backfill").u64().map_err(err)?,
+                release_ticks: field(&inner, "release").u64().map_err(err)?,
             })
         }
     };
-    let err = |msg: String| TraceError::Malformed { line: 1, msg };
     Ok(TraceHeader {
         schema,
-        engine: req_str(&fields, "engine").map_err(err)?,
-        n: req_u32(&fields, "n").map_err(err)?,
-        seed: req_u64(&fields, "seed").map_err(err)?,
-        fingerprint: req_str(&fields, "fingerprint").map_err(err)?,
-        jobs: req_u32(&fields, "jobs").map_err(err)?,
-        packets: req_u64(&fields, "packets").map_err(err)?,
-        events: req_u64(&fields, "events").map_err(err)?,
-        dropped: req_u64(&fields, "dropped").map_err(err)?,
+        engine: field(&fields, "engine").str().map_err(err)?.into_owned(),
+        n: field(&fields, "n").u32().map_err(err)?,
+        seed: field(&fields, "seed").u64().map_err(err)?,
+        fingerprint: field(&fields, "fingerprint")
+            .str()
+            .map_err(err)?
+            .into_owned(),
+        jobs: field(&fields, "jobs").u32().map_err(err)?,
+        packets: field(&fields, "packets").u64().map_err(err)?,
+        events: field(&fields, "events").u64().map_err(err)?,
+        dropped: field(&fields, "dropped").u64().map_err(err)?,
         sched_profile,
     })
 }
 
-// ---- minimal flat-JSON scanner ------------------------------------
+// ---- flat-JSON tokenizer and field decoders -----------------------
 //
 // The build container is offline (no serde); every record we read is
-// one flat JSON object whose values are integers, booleans, strings
-// without exotic escapes, or one nested flat object. The scanner
-// below parses exactly that grammar, byte by byte, and rejects
-// anything else.
+// one flat JSON object whose values are integers, booleans, strings,
+// or one nested flat object. The tokenizer below parses exactly that
+// grammar, byte by byte, and rejects anything else. It only records
+// where each key and raw value sit in the line; the decoders turn a
+// raw value into a number, bool or string on demand, borrowing
+// wherever the value needs no unescaping.
 
-/// Split one JSON object into `(key, raw-value)` slices.
-fn parse_flat(line: &str) -> Result<Vec<(&str, &str)>, String> {
+/// Tokenize one JSON object into borrowed `(key, raw-value)` slices,
+/// replacing the contents of `pairs` (the caller's reusable working
+/// buffer). Values are not decoded here: a string value keeps its
+/// quotes and a nested object its braces.
+fn tokenize<'a>(line: &'a str, pairs: &mut Vec<(&'a str, &'a str)>) -> Result<(), String> {
+    pairs.clear();
     let s = line.trim();
     let b = s.as_bytes();
     if b.first() != Some(&b'{') {
         return Err("expected '{'".into());
     }
-    let mut pairs = Vec::new();
     let mut i = 1usize;
     loop {
-        while i < b.len() && b[i].is_ascii_whitespace() {
-            i += 1;
-        }
+        i = skip_ws(b, i);
         match b.get(i) {
             None => return Err("unterminated object".into()),
             Some(b'}') => {
@@ -496,45 +531,49 @@ fn parse_flat(line: &str) -> Result<Vec<(&str, &str)>, String> {
         let kstart = i + 1;
         let kend = quote_end(b, kstart)?;
         let key = &s[kstart..kend];
-        i = kend + 1;
-        while i < b.len() && b[i].is_ascii_whitespace() {
-            i += 1;
-        }
+        i = skip_ws(b, kend + 1);
         if b.get(i) != Some(&b':') {
             return Err(format!("expected ':' after key {key:?}"));
         }
-        i += 1;
-        while i < b.len() && b[i].is_ascii_whitespace() {
-            i += 1;
-        }
+        i = skip_ws(b, i + 1);
         let vstart = i;
-        match b.get(i) {
-            Some(b'"') => i = quote_end(b, i + 1)? + 1,
-            Some(b'{') => i = brace_end(b, i)?,
+        let value = match b.get(i) {
+            Some(b'"') => {
+                i = quote_end(b, i + 1)? + 1;
+                &s[vstart..i]
+            }
+            Some(b'{') => {
+                i = brace_end(b, i)?;
+                &s[vstart..i]
+            }
             Some(_) => {
                 while i < b.len() && b[i] != b',' && b[i] != b'}' {
                     i += 1;
                 }
+                s[vstart..i].trim_end()
             }
             None => return Err(format!("missing value for key {key:?}")),
-        }
-        pairs.push((key, s[vstart..i].trim_end()));
-        while i < b.len() && b[i].is_ascii_whitespace() {
-            i += 1;
-        }
+        };
+        pairs.push((key, value));
+        i = skip_ws(b, i);
         match b.get(i) {
             Some(b',') => i += 1,
             Some(b'}') => {}
             _ => return Err(format!("expected ',' or '}}' after value of {key:?}")),
         }
     }
-    while i < b.len() {
-        if !b[i].is_ascii_whitespace() {
-            return Err("trailing garbage after object".into());
-        }
+    if b[i..].iter().any(|c| !c.is_ascii_whitespace()) {
+        return Err("trailing garbage after object".into());
+    }
+    Ok(())
+}
+
+/// Index of the first non-whitespace byte at or after `i`.
+fn skip_ws(b: &[u8], mut i: usize) -> usize {
+    while i < b.len() && b[i].is_ascii_whitespace() {
         i += 1;
     }
-    Ok(pairs)
+    i
 }
 
 /// Index of the closing quote of a string whose body starts at `i`.
@@ -569,77 +608,236 @@ fn brace_end(b: &[u8], mut i: usize) -> Result<usize, String> {
     Err("unterminated nested object".into())
 }
 
-fn get<'a>(pairs: &[(&'a str, &'a str)], key: &str) -> Option<&'a str> {
-    pairs.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+/// One field of a tokenized record: its raw value, if the record has
+/// it, and its key — a `&str`, or an event [`Key`] — which is only
+/// rendered when an error message needs it. The typed accessors are
+/// the module's only value decoders. They are forced inline: left to
+/// the optimizer, each became an out-of-line call taking the field by
+/// value, and parsing a trace took about 15 % longer.
+#[derive(Clone, Copy)]
+struct Field<'a, K> {
+    key: K,
+    raw: Option<&'a str>,
 }
 
-fn req<'a>(pairs: &[(&'a str, &'a str)], key: &str) -> Result<&'a str, String> {
-    get(pairs, key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn req_u64(pairs: &[(&str, &str)], key: &str) -> Result<u64, String> {
-    let raw = req(pairs, key)?;
-    raw.parse::<u64>()
-        .map_err(|_| format!("field {key:?}: {raw:?} is not a u64"))
-}
-
-fn req_u32(pairs: &[(&str, &str)], key: &str) -> Result<u32, String> {
-    let v = req_u64(pairs, key)?;
-    u32::try_from(v).map_err(|_| format!("field {key:?}: {v} overflows u32"))
-}
-
-fn opt_u32(pairs: &[(&str, &str)], key: &str) -> Result<Option<u32>, String> {
-    match get(pairs, key) {
-        None => Ok(None),
-        Some(_) => req_u32(pairs, key).map(Some),
+/// The first `key` in `pairs`; a repeated key's later values are
+/// ignored.
+fn field<'a>(pairs: &[(&'a str, &'a str)], key: &'static str) -> Field<'a, &'static str> {
+    Field {
+        key,
+        raw: pairs.iter().find(|(k, _)| *k == key).map(|&(_, v)| v),
     }
 }
 
-fn req_u8(pairs: &[(&str, &str)], key: &str) -> Result<u8, String> {
-    let v = req_u64(pairs, key)?;
-    u8::try_from(v).map_err(|_| format!("field {key:?}: {v} overflows u8"))
-}
+impl<'a, K: fmt::Debug + Copy> Field<'a, K> {
+    #[inline(always)]
+    fn req(self) -> Result<&'a str, String> {
+        self.raw
+            .ok_or_else(|| format!("missing field {:?}", self.key))
+    }
 
-fn req_bool(pairs: &[(&str, &str)], key: &str) -> Result<bool, String> {
-    match req(pairs, key)? {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        raw => Err(format!("field {key:?}: {raw:?} is not a bool")),
+    #[inline(always)]
+    fn u64(self) -> Result<u64, String> {
+        let raw = self.req()?;
+        decode_u64(raw).ok_or_else(|| format!("field {:?}: {raw:?} is not a u64", self.key))
+    }
+
+    #[inline(always)]
+    fn u32(self) -> Result<u32, String> {
+        let v = self.u64()?;
+        u32::try_from(v).map_err(|_| format!("field {:?}: {v} overflows u32", self.key))
+    }
+
+    #[inline(always)]
+    fn opt_u32(self) -> Result<Option<u32>, String> {
+        match self.raw {
+            None => Ok(None),
+            Some(_) => self.u32().map(Some),
+        }
+    }
+
+    #[inline(always)]
+    fn u8(self) -> Result<u8, String> {
+        let v = self.u64()?;
+        u8::try_from(v).map_err(|_| format!("field {:?}: {v} overflows u8", self.key))
+    }
+
+    #[inline(always)]
+    fn bool(self) -> Result<bool, String> {
+        match self.req()? {
+            "true" => Ok(true),
+            "false" => Ok(false),
+            raw => Err(format!("field {:?}: {raw:?} is not a bool", self.key)),
+        }
+    }
+
+    #[inline(always)]
+    fn str(self) -> Result<Cow<'a, str>, String> {
+        unquote(self.req()?).map_err(|msg| format!("field {:?}: {msg}", self.key))
     }
 }
 
-fn req_str(pairs: &[(&str, &str)], key: &str) -> Result<String, String> {
-    unquote(req(pairs, key)?).map_err(|msg| format!("field {key:?}: {msg}"))
+/// Declares [`Key`], the keys event records use, from one list of
+/// `Variant => "name"` pairs.
+macro_rules! event_keys {
+    ($($key:ident => $name:literal),+ $(,)?) => {
+        /// A key some event record carries; its discriminant is its
+        /// slot in [`EventFields`]. It debug-prints as its quoted name,
+        /// like the `&str` keys of other records.
+        #[derive(Clone, Copy, PartialEq, Eq)]
+        enum Key {
+            $($key),+
+        }
+
+        impl Key {
+            /// Every key, in slot order.
+            const ALL: [Key; [$($name),+].len()] = [$(Key::$key),+];
+
+            fn name(self) -> &'static str {
+                match self {
+                    $(Key::$key => $name),+
+                }
+            }
+
+            fn from_name(name: &str) -> Option<Key> {
+                match name {
+                    $($name => Some(Key::$key),)+
+                    _ => None,
+                }
+            }
+        }
+
+        impl fmt::Debug for Key {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                fmt::Debug::fmt(self.name(), f)
+            }
+        }
+    };
 }
 
-fn unquote(raw: &str) -> Result<String, String> {
+event_keys! {
+    Ev => "ev",
+    Round => "round",
+    Time => "time",
+    Pid => "pid",
+    Pe => "pe",
+    From => "from",
+    To => "to",
+    Gen => "gen",
+    Escape => "escape",
+    Depth => "depth",
+    Queued => "queued",
+    InFlight => "in_flight",
+    Stalled => "stalled",
+    Kind => "kind",
+    Class => "class",
+    Reason => "reason",
+    Hops => "hops",
+    Job => "job",
+    Order => "order",
+    Pes => "pes",
+    Start => "start",
+}
+
+/// An event line's raw values, one slot per [`Key`], gathered in one
+/// pass over its pairs. As with [`field`], a key's first occurrence
+/// wins; keys no event uses are skipped.
+struct EventFields<'a>([Option<&'a str>; Key::ALL.len()]);
+
+impl<'a> EventFields<'a> {
+    fn gather(pairs: &[(&'a str, &'a str)]) -> Self {
+        let mut slots = [None; Key::ALL.len()];
+        for &(k, v) in pairs {
+            if let Some(key) = Key::from_name(k) {
+                slots[key as usize].get_or_insert(v);
+            }
+        }
+        EventFields(slots)
+    }
+
+    #[inline(always)]
+    fn get(&self, key: Key) -> Field<'a, Key> {
+        Field {
+            key,
+            raw: self.0[key as usize],
+        }
+    }
+}
+
+/// Decimal digits (after an optional `+`, as `str::parse` allows) to a
+/// `u64`; `None` on an empty, non-digit or overflowing value.
+fn decode_u64(raw: &str) -> Option<u64> {
+    let b = raw.as_bytes();
+    let digits = b.strip_prefix(b"+").unwrap_or(b);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |v, &c| {
+        let d = c.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        v.checked_mul(10)?.checked_add(u64::from(d))
+    })
+}
+
+/// The contents of a JSON string value: borrowed from the line when
+/// it holds no escape, decoded otherwise. Understands exactly the
+/// escapes [`escape`] writes — `\"`, `\\`, `\n`, `\r`, `\t`, and
+/// `\u00XX` for the other control characters — and rejects any other.
+fn unquote(raw: &str) -> Result<Cow<'_, str>, String> {
     let inner = raw
         .strip_prefix('"')
         .and_then(|r| r.strip_suffix('"'))
         .ok_or_else(|| format!("{raw:?} is not a string"))?;
+    if !inner.contains('\\') {
+        return Ok(Cow::Borrowed(inner));
+    }
     let mut out = String::with_capacity(inner.len());
     let mut chars = inner.chars();
     while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                other => return Err(format!("unsupported escape \\{other:?}")),
-            }
-        } else {
+        if c != '\\' {
             out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('"') => out.push('"'),
+            Some('\\') => out.push('\\'),
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            Some('t') => out.push('\t'),
+            Some('u') => {
+                let hex = chars.as_str().get(..4).unwrap_or_default();
+                let control = hex
+                    .strip_prefix("00")
+                    .filter(|h| h.bytes().all(|d| d.is_ascii_hexdigit()))
+                    .and_then(|h| u8::from_str_radix(h, 16).ok())
+                    .filter(|&c| c < 0x20)
+                    .ok_or_else(|| format!("unsupported escape \\u{hex}"))?;
+                out.push(char::from(control));
+                chars.nth(3);
+            }
+            other => return Err(format!("unsupported escape \\{other:?}")),
         }
     }
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
-/// Escape a string for embedding in a JSON value (quote + backslash).
+/// Escape a string for embedding in a JSON value: quote, backslash,
+/// and every control character (`\n`, `\r`, `\t` by name, the rest as
+/// `\u00XX`), so the value never breaks its line.
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
             _ => out.push(c),
         }
     }
@@ -877,6 +1075,49 @@ mod tests {
         t.header.fingerprint = "quote \" and backslash \\ survive".into();
         let back = Trace::parse(&t.to_jsonl()).expect("parses");
         assert_eq!(back.header.fingerprint, t.header.fingerprint);
+    }
+
+    #[test]
+    fn control_characters_in_header_strings_round_trip() {
+        for (s, written) in [
+            ("line\nbreak", r#""engine":"line\nbreak""#),
+            ("tab\there", r#""engine":"tab\there""#),
+            ("carriage\rreturn", r#""engine":"carriage\rreturn""#),
+            ("bell\u{7}rings", r#""engine":"bell\u0007rings""#),
+        ] {
+            let mut t = sample_trace();
+            t.header.engine = s.into();
+            t.header.fingerprint = format!("{s} \" \\ {s}");
+            let text = t.to_jsonl();
+            assert_eq!(text.lines().count(), 1 + 2 + 3, "{s:?} broke its line");
+            assert!(text.contains(written), "{s:?} written as {text}");
+            assert_eq!(Trace::parse(&text), Ok(t), "{s:?} did not round-trip");
+        }
+    }
+
+    #[test]
+    fn escapes_outside_the_written_set_are_rejected() {
+        for bad in [
+            r#""\b""#,
+            r#""\u0041""#,
+            r#""\u00""#,
+            r#""\u00zz""#,
+            r#""\""#,
+        ] {
+            assert!(unquote(bad).is_err(), "{bad} accepted");
+        }
+        assert_eq!(unquote(r#""a\u001fb""#).as_deref(), Ok("a\u{1f}b"));
+        assert!(matches!(unquote(r#""plain""#), Ok(Cow::Borrowed("plain"))));
+    }
+
+    #[test]
+    fn event_key_table_is_consistent() {
+        for (slot, key) in Key::ALL.into_iter().enumerate() {
+            assert_eq!(key as usize, slot);
+            assert_eq!(Key::from_name(key.name()), Some(key));
+            assert_eq!(format!("{key:?}"), format!("{:?}", key.name()));
+        }
+        assert_eq!(Key::from_name("packet"), None);
     }
 
     #[test]
