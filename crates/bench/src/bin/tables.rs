@@ -37,6 +37,7 @@ use sg_net::{
 };
 use sg_obs::{reset_tick_clock, tick_clock, NetProbe, SchedProbe};
 use sg_perm::factorial::factorial;
+use sg_perm::MAX_N;
 use sg_sched::job::{JobSpec, TenantRouting, TrafficProfile};
 use sg_sched::scheduler::schedule as sched_schedule;
 use sg_sched::scheduler::schedule_probed as sched_schedule_probed;
@@ -47,33 +48,58 @@ use sg_simd::machine::MeshSimd;
 use sg_simd::{EmbeddedMeshMachine, MeshMachine};
 use sg_star::broadcast::{flood_schedule, lower_bound, paper_bound, verify_schedule};
 use sg_star::StarGraph;
+use std::ops::RangeInclusive;
 
-fn parse_flag(args: &[String], name: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+fn usage() -> ! {
+    eprintln!(
+        "usage: tables <table1|fig2|fig3|fig4|fig7|lemma1|lemma3|dilation|thm6|\
+         congestion|traffic|sched|coll|obs|starprops|thm9|appendix|sorting|\
+         starvshypercube|all> [--n N] [--max-n N]\n  \
+         orders: table1, fig7, lemma3 2..={MAX_N}; dilation 2..=11; thm6 2..=9; \
+         congestion 2..=8; traffic, coll 2..={max}; sched, obs 3..={max}",
+        max = Network::ORDERS.end()
+    );
+    std::process::exit(2);
+}
+
+/// The order after `name`, or `default` when the flag is absent. A
+/// missing or non-numeric value, or an order outside `orders` (what the
+/// subcommand's library supports), is a usage error: never a silent
+/// fall-back to the default and never a library panic.
+fn order_flag(args: &[String], name: &str, default: usize, orders: RangeInclusive<usize>) -> usize {
+    let n = match args.iter().position(|a| a == name) {
+        None => default,
+        Some(i) => args
+            .get(i + 1)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| usage()),
+    };
+    if !orders.contains(&n) {
+        usage();
+    }
+    n
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
+    // The `sched`/`obs` job streams draw sub-stars of order 3 and up.
+    let tenant_orders = 3..=*Network::ORDERS.end();
     match cmd {
-        "table1" => table1(parse_flag(&args, "--n", 6)),
+        "table1" => table1(order_flag(&args, "--n", 6, 2..=MAX_N)),
         "fig2" => fig2(),
         "fig3" => fig3(),
         "fig4" => fig4(),
-        "fig7" => fig7(parse_flag(&args, "--n", 4)),
+        "fig7" => fig7(order_flag(&args, "--n", 4, 2..=MAX_N)),
         "lemma1" => lemma1(),
-        "lemma3" => lemma3(parse_flag(&args, "--max-n", 7)),
-        "dilation" => dilation(parse_flag(&args, "--max-n", 8)),
-        "thm6" => thm6(parse_flag(&args, "--max-n", 6)),
-        "congestion" => congestion(parse_flag(&args, "--max-n", 6)),
-        "traffic" => traffic(parse_flag(&args, "--n", 5)),
-        "sched" => sched(parse_flag(&args, "--n", 6)),
-        "coll" => coll(parse_flag(&args, "--max-n", 6)),
-        "obs" => obs(parse_flag(&args, "--n", 6)),
+        "lemma3" => lemma3(order_flag(&args, "--max-n", 7, 2..=MAX_N)),
+        "dilation" => dilation(order_flag(&args, "--max-n", 8, 2..=11)),
+        "thm6" => thm6(order_flag(&args, "--max-n", 6, 2..=9)),
+        "congestion" => congestion(order_flag(&args, "--max-n", 6, 2..=8)),
+        "traffic" => traffic(order_flag(&args, "--n", 5, Network::ORDERS)),
+        "sched" => sched(order_flag(&args, "--n", 6, tenant_orders)),
+        "coll" => coll(order_flag(&args, "--max-n", 6, Network::ORDERS)),
+        "obs" => obs(order_flag(&args, "--n", 6, tenant_orders)),
         "starprops" => starprops(),
         "thm9" => thm9(),
         "appendix" => appendix(),
@@ -100,14 +126,7 @@ fn main() {
             sorting();
             star_vs_hypercube();
         }
-        _ => {
-            eprintln!(
-                "usage: tables <table1|fig2|fig3|fig4|fig7|lemma1|lemma3|dilation|thm6|\
-                 congestion|traffic|sched|coll|obs|starprops|thm9|appendix|sorting|\
-                 starvshypercube|all> [--n N] [--max-n N]"
-            );
-            std::process::exit(2);
-        }
+        _ => usage(),
     }
 }
 

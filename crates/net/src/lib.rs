@@ -44,15 +44,16 @@
 //!
 //! ## Engines
 //!
-//! Two engines execute that model. [`Engine::Reference`] scans every
-//! queue every round — the transparent oracle. [`Engine::Fast`] (the
-//! default behind [`Network::run`]) drives an active-queue worklist
-//! over flat slab-allocated ring buffers with batched round-keyed
-//! arrivals, and skips idle rounds — the engine that makes
-//! full-injection sweeps at `n = 8` (40 320 PEs) finish in seconds.
-//! `tests/differential.rs` proves them observationally identical:
-//! byte-equal [`TrafficStats`] across every workload × routing ×
-//! fault axis. Three scenario axes ride on the engines:
+//! One simulator core executes that model, with every rule written
+//! once; the two engines differ only in their queue store.
+//! [`Engine::Reference`] keeps a `VecDeque` per queue and visits every
+//! link every round — the transparent oracle. [`Engine::Fast`] (the
+//! default behind [`Network::run`]) keeps flat slab-allocated ring
+//! buffers, visits only the links an occupancy bitmap marks live, and
+//! skips idle rounds — the engine that makes full-injection sweeps at
+//! `n = 8` (40 320 PEs) finish in seconds. `tests/differential.rs`
+//! proves them observationally identical: byte-equal [`TrafficStats`]
+//! across every workload × routing × fault axis. Three scenario axes ride on the engines:
 //! [`AdaptiveRouting`] (contention-aware least-occupied shortest-path
 //! hops), [`FlowControl::CreditBased`] (packets stall at the source
 //! instead of tail-dropping — and can deadlock at tiny pools, as real

@@ -24,6 +24,8 @@ use sg_net::{
     AdaptiveRouting, EmbeddingRouting, Engine, FlowControl, GreedyRouting, NetConfig, Network,
     RoutingPolicy, Workload,
 };
+use sg_obs::{Event, EventLog};
+use std::collections::HashMap;
 
 fn policies() -> Vec<(&'static str, Box<dyn RoutingPolicy>)> {
     vec![
@@ -160,4 +162,123 @@ fn all_opted_out_escape_equals_credit() {
     assert_eq!(credit.0, escape.0, "opted-out escape must match credit");
     assert_eq!(credit.1, escape.1, "per-job stats too");
     assert!(credit.0.stranded > 0, "scenario must actually deadlock");
+}
+
+/// Replays a fault-free escape run's event stream and checks
+/// lowest-class-first service, returning how many escape forwards had
+/// a lower-class rival at the same PE bound for the same link.
+///
+/// The bank is rebuilt from events alone: `Diverted` seats a resident
+/// in its class slot, an escape `Forwarded` frees the sender's slot and
+/// reserves class `c − 1` at the next PE (a final hop reserves
+/// nothing), and an escape `Queued` turns that reservation back into a
+/// resident. A resident wants the link its next escape hop takes.
+/// Whenever link `(u, g)` forwards a class-`c` resident, every
+/// lower-class resident of `u` wanting `g` must have been blocked —
+/// its next slot held — or it would have gone first.
+fn lowest_class_first_rivals(w: &Workload, events: &[Event], cell: &str) -> usize {
+    let dst: Vec<u32> = w.injections().iter().map(|i| i.dst as u32).collect();
+    let mut hops: Vec<Vec<u8>> = vec![Vec::new(); dst.len()];
+    for ev in events {
+        if let Event::Forwarded {
+            pid,
+            gen,
+            escape: true,
+            ..
+        } = *ev
+        {
+            hops[pid as usize].push(gen);
+        }
+    }
+    let mut taken = vec![0usize; dst.len()];
+    let mut class = vec![0u32; dst.len()];
+    // (PE, class) -> (holder, buffered rather than reserved)
+    let mut bank: HashMap<(u32, u32), (u32, bool)> = HashMap::new();
+    let mut rivals = 0;
+    for ev in events {
+        match *ev {
+            Event::Diverted {
+                pid, pe, class: c, ..
+            } => {
+                class[pid as usize] = c;
+                assert!(bank.insert((pe, c), (pid, true)).is_none(), "{cell}");
+            }
+            Event::Queued {
+                pid,
+                pe,
+                escape: true,
+                ..
+            } => {
+                let slot = bank.get_mut(&(pe, class[pid as usize]));
+                assert_eq!(slot, Some(&mut (pid, false)), "{cell}: unreserved arrival");
+                *slot.expect("checked") = (pid, true);
+            }
+            Event::Forwarded {
+                round,
+                pid,
+                from,
+                to,
+                gen,
+                escape: true,
+            } => {
+                let p = pid as usize;
+                let c = class[p];
+                for lower in 1..c {
+                    let Some(&(q, true)) = bank.get(&(from, lower)) else {
+                        continue;
+                    };
+                    if hops[q as usize][taken[q as usize]] != gen {
+                        continue;
+                    }
+                    rivals += 1;
+                    assert!(
+                        to != dst[q as usize] && bank.contains_key(&(to, lower - 1)),
+                        "{cell}: round {round} link {from}/{gen} served class {c} \
+                         (pid {pid}) over class {lower} (pid {q}) whose next slot was free"
+                    );
+                }
+                assert_eq!(bank.remove(&(from, c)), Some((pid, true)), "{cell}");
+                taken[p] += 1;
+                if to != dst[p] {
+                    class[p] = c - 1;
+                    assert!(bank.insert((to, c - 1), (pid, false)).is_none(), "{cell}");
+                }
+            }
+            _ => {}
+        }
+    }
+    rivals
+}
+
+/// The service order the deadlock-freedom argument leans on, checked
+/// against an event-stream model of the bank over the tiny-pool grid.
+/// Both engines share the rule, so the differential suite cannot see
+/// it change; this check can.
+#[test]
+fn escape_serves_the_lowest_residual_class_first() {
+    let mut rivals = 0usize;
+    for n in 3..=4usize {
+        for cap in 1..=2u32 {
+            for seed in [1u64, 7, 596] {
+                for w in patterns(n, seed) {
+                    for (policy_name, policy) in policies() {
+                        let cell = format!(
+                            "n={n} cap={cap} seed={seed} workload={} policy={policy_name}",
+                            w.name()
+                        );
+                        let net =
+                            Network::new(n).with_config(config(FlowControl::EscapeChannel, cap));
+                        let mut log = EventLog::new();
+                        let stats = net.run_probed(&w, policy.as_ref(), Engine::Fast, &mut log);
+                        assert_eq!(stats.delivered, stats.injected, "{cell}");
+                        rivals += lowest_class_first_rivals(&w, log.events(), &cell);
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        rivals > 0,
+        "vacuous: no escape forward ever had a lower-class rival for its link"
+    );
 }

@@ -423,9 +423,9 @@ fn partitioned_runs_identical_across_engines() {
                 ),
             ] {
                 let net = Network::new(n).with_config(config);
-                let (fast_total, _) =
+                let (fast_total, fast_jobs) =
                     net.run_partitioned_with_escape(&composed, &per_job, &owner, &escape);
-                let reference = net.run_partitioned_reference(
+                let (reference, reference_jobs) = net.run_partitioned_reference(
                     &composed,
                     &per_job,
                     &owner,
@@ -435,6 +435,10 @@ fn partitioned_runs_identical_across_engines() {
                 assert_eq!(
                     fast_total, reference,
                     "partitioned engines diverged: n={n} seed={seed} config={config_name}"
+                );
+                assert_eq!(
+                    fast_jobs, reference_jobs,
+                    "per-job stats diverged: n={n} seed={seed} config={config_name}"
                 );
             }
         }

@@ -842,6 +842,7 @@ impl TenantRun {
             &escape,
             &mut NullProbe,
         )
+        .0
     }
 
     /// Runs every job **alone** on the same network (same policy
